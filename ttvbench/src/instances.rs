@@ -66,6 +66,19 @@ impl Workload {
         }
     }
 
+    /// Passes over the instance list in one untraced run. The count is
+    /// fixed, so every run does the same work whatever the machine's
+    /// speed; it is sized so a run takes about the 50 s of `run_seconds`
+    /// on the 2-vCPU box the benchmark was tuned on (one pass: about
+    /// 15 s on `graph-depth` and `oneshot-solve`, 12 s on
+    /// `tfactory-fleet`).
+    pub fn passes(self) -> usize {
+        match self {
+            Workload::GraphDepth | Workload::OneshotSolve => 3,
+            Workload::TfactoryFleet => 4,
+        }
+    }
+
     /// Parses a command-line name.
     pub fn parse(name: &str) -> Option<Workload> {
         Workload::ALL.into_iter().find(|w| w.name() == name)

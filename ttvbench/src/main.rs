@@ -2,20 +2,19 @@
 //! [--instance-seed <n>]`
 //!
 //! Runs one workload's fixed instance list, one instance at a time, in
-//! an order permuted by `--seed`. Untraced, it repeats the list while a
-//! further pass fits in `--seconds` and prints the end-to-end metrics;
-//! traced, it runs the list once untraced and once traced and prints the
-//! per-layer metrics. The last line of standard output is the JSON
-//! result.
+//! an order permuted by `--seed`. Untraced, it runs the list a fixed
+//! number of times ([`Workload::passes`], sized to `run_seconds` in
+//! `BENCHMARK.json`; `--seconds` does not change the work) and prints
+//! the end-to-end metrics; traced, it runs the list once untraced and
+//! once traced and prints the per-layer metrics. The last line of
+//! standard output is the JSON result.
 
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use ttvbench::instances::{generate, shuffle, Instance, Workload, DEFAULT_INSTANCE_SEED};
-use ttvbench::report::{
-    cpu_seconds, median, median_duration, peak_rss_mib, print_result, tail, Metric,
-};
+use ttvbench::report::{cpu_seconds, fastest, median, peak_rss_mib, print_result, tail, Metric};
 use ttvbench::run::{run_pass, Guard, Pass, CONFLICT_CAP};
 use ttvbench::trace::Trace;
 
@@ -27,8 +26,8 @@ const USAGE: &str = "usage: ttvbench --workload <graph-depth|oneshot-solve|tfact
 /// three minutes a run may take.
 const RUN_DEADLINE: Duration = Duration::from_secs(150);
 
-/// Back-to-back generations per setup sample; see [`SetupClock`].
-const SETUP_REPEATS: usize = 7;
+/// Back-to-back generations per `setup_s` sample; see [`time_generation`].
+const SETUP_BATCH: usize = 1000;
 
 /// Where a traced run writes its spans, relative to the working directory.
 const TRACE_DIR: &str = ".bench_trace";
@@ -107,45 +106,22 @@ fn main() -> ExitCode {
     }
 }
 
-/// Times instance generation. It takes well under a millisecond, so it
-/// is repeated after every instance, outside the pass's wall time, and
-/// reported as the median: samples spread over the run are not all
-/// caught by one burst of machine load. Each resample generates the list
-/// [`SETUP_REPEATS`] times back to back, so the median is that of a warm
-/// generation, not of the first one after an instance, whose caches that
-/// instance has just evicted.
-struct SetupClock {
-    workload: Workload,
-    instance_seed: u64,
-    times: Vec<Duration>,
-}
-
-impl SetupClock {
-    fn generate(&mut self) -> Vec<Instance> {
-        let started = Instant::now();
-        let instances = generate(self.workload, self.instance_seed);
-        self.times.push(started.elapsed());
-        instances
+/// One `setup_s` sample: the time of one generation of the instance
+/// list, from [`SETUP_BATCH`] back-to-back generations. One generation
+/// takes well under a millisecond, too short to time alone. A run takes
+/// a sample before its first pass and after every pass, and reports the
+/// median: the samples then span the run, as the pass timings do,
+/// instead of catching the machine in one moment.
+fn time_generation(args: &Args) -> f64 {
+    let started = Instant::now();
+    for _ in 0..SETUP_BATCH {
+        std::hint::black_box(generate(args.workload, args.instance_seed));
     }
-
-    fn resample(&mut self) {
-        for _ in 0..SETUP_REPEATS {
-            std::hint::black_box(self.generate());
-        }
-    }
-
-    fn median_s(&self) -> f64 {
-        median_duration(&self.times)
-    }
+    started.elapsed().as_secs_f64() / SETUP_BATCH as f64
 }
 
 fn measure(args: &Args, guard: &Guard) -> std::io::Result<()> {
-    let mut setup = SetupClock {
-        workload: args.workload,
-        instance_seed: args.instance_seed,
-        times: Vec::new(),
-    };
-    let mut instances = setup.generate();
+    let mut instances = generate(args.workload, args.instance_seed);
     shuffle(&mut instances, args.seed);
     println!(
         "{}: {} instances, instance seed {}, order seed {}, conflict cap {} per query",
@@ -156,9 +132,9 @@ fn measure(args: &Args, guard: &Guard) -> std::io::Result<()> {
         CONFLICT_CAP
     );
     if args.trace {
-        traced(args, guard, &instances, &mut setup)
+        traced(args, guard, &instances)
     } else {
-        untraced(args, guard, &instances, &mut setup);
+        untraced(args, guard, &instances);
         Ok(())
     }
 }
@@ -187,19 +163,21 @@ fn failures(passes: &[Pass]) -> usize {
     failed
 }
 
-fn untraced(args: &Args, guard: &Guard, instances: &[Instance], setup: &mut SetupClock) {
+fn untraced(args: &Args, guard: &Guard, instances: &[Instance]) {
     let started = Instant::now();
-    let budget = Duration::from_secs(args.seconds);
+    let mut setup = vec![time_generation(args)];
     let mut passes: Vec<Pass> = Vec::new();
-    loop {
-        let pass = run_pass(instances, guard, &mut Trace::disabled(), &mut || {
-            setup.resample()
-        });
-        let wall = pass.wall;
-        passes.push(pass);
-        if guard.stopped() || started.elapsed() + wall > budget {
-            break;
-        }
+    while passes.len() < args.workload.passes() && !guard.stopped() {
+        passes.push(run_pass(instances, guard, &mut Trace::disabled()));
+        setup.push(time_generation(args));
+    }
+    let elapsed = started.elapsed().as_secs_f64();
+    if elapsed > args.seconds as f64 {
+        eprintln!(
+            "note: {} passes took {elapsed:.1} s, more than --seconds {}",
+            passes.len(),
+            args.seconds
+        );
     }
     let failed = failures(&passes);
     let attempted = instances.len() * passes.len();
@@ -208,15 +186,11 @@ fn untraced(args: &Args, guard: &Guard, instances: &[Instance], setup: &mut Setu
         .flat_map(|p| &p.outcomes)
         .filter(|o| o.decided)
         .count();
+    // Every pass does bit-identical work (`failures` checks it), so what
+    // differs between passes is interference from the rest of the
+    // machine, which only ever adds time: each timing is the fastest pass.
     let per_instance: Vec<f64> = (0..instances.len())
-        .map(|j| {
-            median_duration(
-                &passes
-                    .iter()
-                    .map(|p| p.outcomes[j].time)
-                    .collect::<Vec<_>>(),
-            )
-        })
+        .map(|j| fastest(passes.iter().map(|p| p.outcomes[j].time)))
         .collect();
     let (tail_s, tail_pct) = tail(&per_instance);
     let conflicts: u64 = passes[0]
@@ -225,40 +199,32 @@ fn untraced(args: &Args, guard: &Guard, instances: &[Instance], setup: &mut Setu
         .flat_map(|o| &o.fingerprint.conflicts)
         .sum();
     println!(
-        "{} passes; per-instance times are medians over passes; \
+        "{} passes; wall_s and per-instance times are the fastest pass; \
 verdict_tail_s is p{tail_pct:.0} of {} instances",
         passes.len(),
         instances.len()
     );
     let metrics = [
-        Metric::new(
-            "wall_s",
-            median_duration(&passes.iter().map(|p| p.wall).collect::<Vec<_>>()),
-            "s",
-        ),
+        Metric::new("wall_s", fastest(passes.iter().map(|p| p.wall)), "s"),
         Metric::new("verdict_p50_s", median(&per_instance), "s"),
         Metric::new("verdict_tail_s", tail_s, "s"),
         Metric::new("decided_frac", decided as f64 / attempted as f64, "ratio"),
         Metric::new("conflicts", conflicts as f64, "count"),
         Metric::new("peak_rss_mb", peak_rss_mib(), "MiB"),
-        Metric::new("setup_s", setup.median_s(), "s"),
+        Metric::new("setup_s", median(&setup), "s"),
     ];
     print_result(failed == 0, attempted, failed, &metrics);
 }
 
-fn traced(
-    args: &Args,
-    guard: &Guard,
-    instances: &[Instance],
-    setup: &mut SetupClock,
-) -> std::io::Result<()> {
+fn traced(args: &Args, guard: &Guard, instances: &[Instance]) -> std::io::Result<()> {
+    let mut setup = vec![time_generation(args)];
     let cpu_before = cpu_seconds();
-    let plain = run_pass(instances, guard, &mut Trace::disabled(), &mut || {
-        setup.resample()
-    });
+    let plain = run_pass(instances, guard, &mut Trace::disabled());
     let cpu_s = cpu_seconds() - cpu_before;
+    setup.push(time_generation(args));
     let mut trace = Trace::enabled();
-    let traced = run_pass(instances, guard, &mut trace, &mut || setup.resample());
+    let traced = run_pass(instances, guard, &mut trace);
+    setup.push(time_generation(args));
     let overhead_s = traced.wall.as_secs_f64() - plain.wall.as_secs_f64();
     let failed = failures(&[plain, traced]);
     let path = std::path::Path::new(TRACE_DIR).join(format!(
@@ -279,7 +245,7 @@ fn traced(
     let count = |name, v: u64| Metric::new(name, v as f64, "count");
     let seconds = |name, v: f64| Metric::new(name, v, "s");
     let metrics = [
-        seconds("workloads.gen_s", setup.median_s()),
+        seconds("workloads.gen_s", median(&setup)),
         seconds("encode.s", trace.layer_seconds("encode")),
         count("encode.vars", c.encode_vars),
         count("encode.clauses", c.encode_clauses),

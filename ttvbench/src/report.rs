@@ -30,8 +30,9 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-pub fn median_duration(values: &[Duration]) -> f64 {
-    median(&values.iter().map(Duration::as_secs_f64).collect::<Vec<_>>())
+/// The shortest of a non-empty set of times, in seconds.
+pub fn fastest(times: impl Iterator<Item = Duration>) -> f64 {
+    times.min().expect("no times").as_secs_f64()
 }
 
 /// The highest percentile with at least ten samples beyond it: the
@@ -108,9 +109,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_and_tail() {
+    fn median_fastest_and_tail() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        let ms = |v: u64| Duration::from_millis(v);
+        assert_eq!(fastest([ms(30), ms(10), ms(20)].into_iter()), 0.01);
         let v: Vec<f64> = (1..=25).map(f64::from).collect();
         // 25 samples: index 14 holds 15, with 10 samples above it.
         assert_eq!(tail(&v), (15.0, 60.0));

@@ -4,12 +4,13 @@
 use crate::instances::{Instance, Query, FLEET_SEEDS};
 use crate::trace::{SpanId, Trace};
 use lasre::{LasDesign, LasSpec};
-use sat::Budget;
+use sat::{Backend, Budget, CdclSolver, SolveOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synth::encode::{encode, encode_layered};
+use synth::decode::decode_layered;
+use synth::encode::{encode, encode_layered, LayeredEncoding};
 use synth::optimize::{find_min_depth, solve_portfolio_detailed, DepthSearch};
 use synth::{SynthError, SynthOptions, SynthResult, Synthesizer};
 
@@ -78,23 +79,14 @@ pub struct Pass {
     pub outcomes: Vec<Outcome>,
 }
 
-/// Runs every instance once, in order, one at a time, calling `between`
-/// after each; the pass's wall time excludes `between`.
-pub fn run_pass(
-    instances: &[Instance],
-    guard: &Guard,
-    trace: &mut Trace,
-    between: &mut dyn FnMut(),
-) -> Pass {
+/// Runs every instance once, in order, one at a time; the pass's wall
+/// time excludes a traced pass's side measurements.
+pub fn run_pass(instances: &[Instance], guard: &Guard, trace: &mut Trace) -> Pass {
     let side_before = trace.side;
     let started = Instant::now();
     let outcomes = instances
         .iter()
-        .map(|inst| {
-            let outcome = run_instance(inst, guard, trace);
-            side(trace, &mut *between);
-            outcome
-        })
+        .map(|inst| run_instance(inst, guard, trace))
         .collect();
     Pass {
         wall: started.elapsed().saturating_sub(trace.side - side_before),
@@ -256,9 +248,10 @@ fn min_depth(
 /// Splits a traced certified search into layers: encoding (timed again
 /// on the same spec), solving (the probe times of the same search run
 /// uncertified), proof work (certified minus uncertified search time),
-/// and validation and verification (timed on the best design, once per
-/// SAT probe, as each SAT probe runs both on its own design). Returns a
-/// failure if the uncertified search took different conflicts.
+/// decoding (timed again at each SAT probe's depth), and validation and
+/// verification (timed on the best design, once per SAT probe, as each
+/// SAT probe runs both on its own design). Returns a failure if the
+/// uncertified search took different conflicts.
 fn split_min_depth(
     spec: &LasSpec,
     found: &DepthSearch,
@@ -283,15 +276,23 @@ fn split_min_depth(
         ranges.push((DEPTH_START + 1, DEPTH_HI));
     }
     let mut parts = Vec::new();
+    let mut sessions = Vec::new();
     for (lo, hi) in ranges {
         let (layered, time) = side(trace, || encode_layered(spec, lo, hi));
         if let Ok(layered) = layered {
             trace.counters.encode_vars += layered.encoding.stats.num_vars as u64;
             trace.counters.encode_clauses += layered.encoding.stats.num_clauses as u64;
+            sessions.push(layered);
         }
         parts.push(("encode", time));
     }
     parts.extend(plain.probes.iter().map(|p| ("solver", p.time)));
+    for probe in found.probes.iter().filter(|p| p.sat == Some(true)) {
+        match time_decode(spec, &sessions, probe.max_k, guard, trace) {
+            Ok(time) => parts.push(("decode", time)),
+            Err(e) => return Some(e),
+        }
+    }
     parts.push((
         "proof",
         Duration::from_secs_f64((certified_time - plain_time.as_secs_f64()).max(0.0)),
@@ -314,6 +315,36 @@ fn split_min_depth(
     c.unsat_probes += found.probes.iter().filter(|p| p.sat == Some(false)).count() as u64;
     c.certified_search += Duration::from_secs_f64(certified_time);
     None
+}
+
+/// Times `decode_layered` at a SAT probe's depth, as side work, on a
+/// model of the same session's CNF under the same depth assumptions: a
+/// fresh solver gives one, as the search returns only the decoded design.
+fn time_decode(
+    spec: &LasSpec,
+    sessions: &[LayeredEncoding],
+    depth: usize,
+    guard: &Guard,
+    trace: &mut Trace,
+) -> Result<Duration, String> {
+    let layered = sessions
+        .iter()
+        .find(|l| (l.lo..=l.hi).contains(&depth))
+        .ok_or_else(|| format!("no session encodes depth {depth}"))?;
+    let (outcome, _) = side(trace, || {
+        CdclSolver::default().solve_with(
+            &layered.encoding.cnf,
+            &layered.assumptions_for(depth),
+            &guard.options().budget,
+        )
+    });
+    let SolveOutcome::Sat(model) = outcome else {
+        return Err(format!(
+            "depth {depth} was SAT in the search, not on a rerun"
+        ));
+    };
+    let (_, time) = side(trace, || decode_layered(layered, spec, depth, &model));
+    Ok(time)
 }
 
 /// `oneshot-solve`: one `Synthesizer::new` + `run()`.

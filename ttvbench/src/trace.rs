@@ -161,14 +161,14 @@ impl Trace {
 
 /// The layer a span's self time belongs to. A call span's self time is
 /// what its derived children leave over: for `Synthesizer::run` that is
-/// decoding, for `find_min_depth` the driver itself (session set-up,
-/// decoding, probe bookkeeping), and for `solve_portfolio_detailed`
+/// decoding, for `find_min_depth` the driver itself (session set-up and
+/// probe bookkeeping), and for `solve_portfolio_detailed`
 /// the lockstep solving, which the call reports no time for (so its
 /// decoding and scheduling count as solver time there).
 pub fn layer_of(span: &str) -> &'static str {
     match span {
         "synth.new" | "encode" => "encode",
-        "synth.run" => "decode",
+        "synth.run" | "decode" => "decode",
         "optimize.find_min_depth" => "optimize",
         "optimize.solve_portfolio_detailed" | "solver" => "solver",
         "proof" => "proof",

@@ -15,9 +15,9 @@ fn runs_identically(workload: Workload) {
         .take(PREFIX)
         .collect();
     let guard = Guard::default();
-    let plain = run_pass(&instances, &guard, &mut Trace::disabled(), &mut || {});
+    let plain = run_pass(&instances, &guard, &mut Trace::disabled());
     let mut trace = Trace::enabled();
-    let traced = run_pass(&instances, &guard, &mut trace, &mut || {});
+    let traced = run_pass(&instances, &guard, &mut trace);
     assert!(!trace.spans.is_empty());
     for (a, b) in plain.outcomes.iter().zip(&traced.outcomes) {
         assert_eq!(a.failure, None, "{}: instance {}", workload.name(), a.id);
