@@ -518,7 +518,7 @@ struct DepthWorker {
 /// owns depth `vlo + i` and probes it as `solve_assuming` under that
 /// depth's activation literals. A single-threaded round-robin driver
 /// (ascending depth order, `options.parallel_quantum` conflicts per
-/// turn — the target machines have one vCPU) runs every worker still
+/// turn, so every run is deterministic) runs every worker still
 /// inside the *undecided window*: SAT at depth `k` implies SAT at
 /// every deeper depth and UNSAT implies UNSAT at every shallower one,
 /// so each verdict shrinks the window `(highest UNSAT, lowest SAT)`
@@ -1030,8 +1030,10 @@ pub fn solve_portfolio_detailed(
 /// per turn and fans each worker's low-LBD learnt clauses out to the
 /// others through a bounded [`ClauseExchange`].
 ///
-/// Single-threaded by design: the evaluation machines have one vCPU,
-/// so a free-threaded sharing portfolio would measure scheduler noise.
+/// Single-threaded by design: determinism is the point. A
+/// free-threaded sharing portfolio imports whatever the scheduler
+/// happened to deliver, so neither its conflicts nor its verdict path
+/// would replay.
 /// What sharing buys is *fewer total conflicts to a verdict* than the
 /// same fleet running isolated; the lockstep schedule makes every run
 /// bit-reproducible — same spec, seeds and quantum give the same

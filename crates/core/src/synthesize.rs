@@ -437,7 +437,7 @@ impl Synthesizer {
                     sat::certify_unsat(log, solver.final_assumption_conflict())
                         .map_err(|e| SynthError::Certify(e.to_string()))?;
                 }
-                self.last_proof = solver.proof().cloned();
+                self.last_proof = solver.take_proof();
                 out
             }
             BackendChoice::Cdcl(config) => {

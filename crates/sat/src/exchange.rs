@@ -7,9 +7,10 @@
 //! bounded inboxes and imports whatever arrived, so one worker's
 //! refutation work prunes everyone else's search.
 //!
-//! Determinism is the design constraint (the target box has a single
-//! vCPU, so parallelism buys nothing by itself — reproducibility
-//! does). Three properties make a sharing run replayable:
+//! Determinism is the design constraint: a run that imports whatever a
+//! thread scheduler delivered could not be replayed, and its conflict
+//! counts could not serve as a machine-independent measure. Three
+//! properties make a sharing run replayable:
 //!
 //! * **seed-ordered fan-out** — [`ClauseExchange::publish`] writes to
 //!   the per-worker inboxes in ascending worker index, and a full inbox

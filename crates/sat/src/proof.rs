@@ -1,4 +1,4 @@
-//! DRAT proof logging and forward checking.
+//! DRAT proof logging and backward, core-first checking.
 //!
 //! The solver (when proof logging is enabled) records every clause it
 //! ever holds as one of three step kinds:
@@ -11,16 +11,41 @@
 //!   failed-literal probing, strengthened/vivified replacements, BVE
 //!   resolvents, eliminated-clause restorations, and the terminal
 //!   empty clause (root UNSAT) or negated-assumption core
-//!   (UNSAT under assumptions). The checker verifies each one by
-//!   RUP — assume the negation, unit-propagate, demand a conflict —
-//!   falling back to RAT on the first literal (the `drat-trim`
-//!   convention), which is what justifies re-adding clauses whose
-//!   pivot variable was eliminated by BVE.
+//!   (UNSAT under assumptions). The checker verifies one by RUP —
+//!   assume the negation, unit-propagate, demand a conflict — falling
+//!   back to RAT on the first literal (the `drat-trim` convention),
+//!   which is what justifies re-adding clauses whose pivot variable
+//!   was eliminated by BVE.
 //! * [`StepKind::Delete`] — a clause removed from the live set
 //!   (`reduce_db`, subsumption, strengthening/vivification originals,
 //!   BVE occurrence deletion). Deletions matter for soundness of the
 //!   RAT checks, so the in-tree checker applies them strictly: a
 //!   deletion that names a clause not currently live is rejected.
+//!
+//! The checker works as `drat-trim` does (Wetzler, Heule & Hunt, SAT
+//! 2014). A forward pass replays every step without RUP checks,
+//! propagating root units and recording the root trail's length per
+//! step. A backward pass then undoes the steps from the last to the
+//! first — removing lemmas, reviving deleted clauses, truncating the
+//! root trail — so each lemma is checked against exactly the clauses
+//! live just before it. Root assignments are never retracted by a
+//! deletion (the `drat-trim` convention).
+//!
+//! Which lemmas are checked depends on the entry point:
+//!
+//! * [`certify_unsat`] checks only the *core*: the refutation (the
+//!   root conflict, or the final negated-assumption-core clause) is
+//!   marked, and each successful check marks every clause its
+//!   conflict analysis reaches — root-unit reasons and RAT partners
+//!   included. A lemma no refutation path uses is never checked, so an
+//!   unsound but unused lemma does not fail certification. An
+//!   incremental session's log holds every earlier probe's lemmas;
+//!   certifying one UNSAT probe checks only the part it relies on.
+//! * [`check`] marks every derived step up to the refutation, so it
+//!   rejects any unsound derivation, reported at the earliest step.
+//!
+//! [`CheckReport::derived_checked`] counts the lemmas each mode
+//! checked. No dependency graph is stored: marks are set on the fly.
 //!
 //! The in-memory log is self-contained (inputs interleaved with
 //! derivations, so an incremental session's growing formula is
@@ -127,15 +152,6 @@ impl ProofLog {
     /// Iterates over `(kind, clause)` steps in order.
     pub fn iter(&self) -> impl Iterator<Item = (StepKind, &[Lit])> + '_ {
         (0..self.len()).map(move |i| self.step(i))
-    }
-
-    /// The most recent `AddDerived` clause, if any.
-    pub fn last_derived(&self) -> Option<&[Lit]> {
-        (0..self.len())
-            .rev()
-            .map(|i| self.step(i))
-            .find(|(k, _)| *k == StepKind::AddDerived)
-            .map(|(_, c)| c)
     }
 
     /// The multiset of clauses currently live in the proof, keyed by
@@ -369,13 +385,15 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Summary of a successful forward check.
+/// Summary of a successful check.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckReport {
     /// Total steps processed.
     pub steps: usize,
-    /// Derived steps whose RUP/RAT obligation was actually checked
-    /// (checking stops early once the formula is refuted).
+    /// Derived steps whose RUP/RAT obligation was actually checked.
+    /// [`check`] counts every derived step up to the refutation (later
+    /// ones are vacuous); [`certify_unsat`] counts only the lemmas the
+    /// refutation transitively uses.
     pub derived_checked: usize,
     /// Whether an explicit empty clause was derived.
     pub derived_empty: bool,
@@ -392,18 +410,26 @@ impl CheckReport {
     }
 }
 
-/// Forward-checks a self-contained proof: inputs are admitted,
-/// derived clauses must pass RUP or first-literal RAT against the
-/// live clause set, deletions must name a live clause.
+/// Checks a self-contained proof in full: inputs are admitted, every
+/// derived clause up to the refutation must pass RUP or first-literal
+/// RAT against the clauses live at its step, deletions must name a
+/// live clause. An unsound step is reported at the earliest index.
 pub fn check(log: &ProofLog) -> Result<CheckReport, CheckError> {
-    Checker::new().run(log)
+    let mut checker = Checker::replay(log, false);
+    let report = checker.check_backward(log, None)?;
+    match checker.bad_deletion.take() {
+        Some(err) => Err(err),
+        None => Ok(report),
+    }
 }
 
-/// Certifies one UNSAT answer: forward-checks the whole log, then
-/// confirms the log actually ends in the claimed refutation —
-/// the empty clause for a root-level UNSAT (`failed_assumptions`
-/// empty), or a final derived clause equal to the negation of the
-/// failing assumption set for UNSAT under assumptions.
+/// Certifies one UNSAT answer: confirms the log ends in the claimed
+/// refutation — a root conflict (the empty clause) when
+/// `failed_assumptions` is empty, or a final derived clause equal to
+/// the negation of the failing assumption set for UNSAT under
+/// assumptions — and then checks exactly the lemmas that refutation
+/// transitively uses. A lemma outside that core is never checked, so
+/// an unsound but unused lemma does not make certification fail.
 pub fn certify_unsat(
     log: &ProofLog,
     failed_assumptions: &[Lit],
@@ -414,341 +440,526 @@ pub fn certify_unsat(
             reason: "proof log was truncated mid-run (frozen); later steps are missing".into(),
         });
     }
-    let report = check(log)?;
-    let last = log.last_derived();
-    if failed_assumptions.is_empty() {
-        if !report.refuted() {
-            return Err(CheckError {
-                step: None,
-                reason: "proof checks but never derives the empty clause".into(),
-            });
-        }
+    let mut checker = Checker::replay(log, true);
+    if let Some(err) = checker.bad_deletion.take() {
+        return Err(err);
+    }
+    // A root conflict refutes the accumulated formula, so it certifies
+    // any assumption set.
+    let core_step = if checker.conflict.is_some() {
+        None
+    } else if failed_assumptions.is_empty() {
+        return Err(CheckError {
+            step: None,
+            reason: "proof checks but never derives the empty clause".into(),
+        });
     } else {
-        let Some(core) = last else {
+        let Some(step) = (0..log.len())
+            .rev()
+            .find(|&i| log.kinds[i] == StepKind::AddDerived)
+        else {
             return Err(CheckError {
                 step: None,
                 reason: "no derived clause to certify the assumption core".into(),
             });
         };
-        // A root conflict mid-probe certifies any assumption set.
-        if !core.is_empty() && !report.root_conflict {
-            let mut want: Vec<Lit> = failed_assumptions.iter().map(|&a| !a).collect();
-            want.sort_unstable();
-            want.dedup();
-            let mut got: Vec<Lit> = core.to_vec();
-            got.sort_unstable();
-            got.dedup();
-            if got != want {
-                return Err(CheckError {
-                    step: None,
-                    reason: format!(
-                        "final derived clause {got:?} does not match the negated \
-                         assumption core {want:?}"
-                    ),
-                });
-            }
+        let mut want: Vec<Lit> = failed_assumptions.iter().map(|&a| !a).collect();
+        want.sort_unstable();
+        want.dedup();
+        let mut got: Vec<Lit> = log.step(step).1.to_vec();
+        got.sort_unstable();
+        got.dedup();
+        if got != want {
+            return Err(CheckError {
+                step: None,
+                reason: format!(
+                    "final derived clause {got:?} does not match the negated \
+                     assumption core {want:?}"
+                ),
+            });
         }
-    }
-    Ok(report)
+        Some(step)
+    };
+    checker.check_backward(log, core_step)
 }
 
-/// One clause in the checker's live set. The first two literals are
-/// the watched ones (clauses of length ≥ 2).
-struct CClause {
-    lits: Vec<Lit>,
-    live: bool,
+/// No clause: the reason of a literal a RUP check assumed.
+const NO_CLAUSE: u32 = u32::MAX;
+
+/// What a successful RUP check found.
+enum Refutation {
+    /// Propagation falsified this clause.
+    Conflict(u32),
+    /// The clause's literal was already true.
+    Satisfied(Lit),
 }
 
-/// Forward RUP/RAT checker over a growing clause database with
-/// two-watched-literal propagation and a persistent root trail.
+/// The backward, core-first checker described in the module docs.
+/// Undoing a step truncates the root trail to its length before that
+/// step, so every check sees exactly the root state a forward checker
+/// would have had there.
 struct Checker {
-    clauses: Vec<CClause>,
-    /// Sorted-literals key → live clause ids (deletion lookup).
-    index: HashMap<Vec<Lit>, Vec<usize>>,
+    /// Every added clause, flat: clause `c` is
+    /// `lits[start[c]..start[c + 1]]`, watched literals first.
+    lits: Vec<Lit>,
+    start: Vec<u32>,
+    /// Per clause: in the live set at the current step. A deleted
+    /// clause leaves its watch lists at once (the backward pass
+    /// re-watches it on revival); a clause whose addition the backward
+    /// pass undid never returns, so its watchers are dropped lazily.
+    live: Vec<bool>,
+    /// Per clause: used by the refutation, so it must check.
+    used: Vec<bool>,
+    /// Per step: the clause it added or deleted.
+    clause_of: Vec<u32>,
+    /// Per step: the root trail length before it.
+    trail_before: Vec<u32>,
+    /// The first deletion naming a clause that was not live; the
+    /// forward pass stops there, so only the steps before it exist.
+    bad_deletion: Option<CheckError>,
     /// Assignment per literal code: 1 true, -1 false, 0 unassigned.
     val: Vec<i8>,
+    /// Per variable: the clause that implied it, its trail position,
+    /// and whether conflict analysis already reached it. A root
+    /// variable stays reached until the trail is truncated below it:
+    /// every clause of its implication chain is marked by then.
+    reason: Vec<u32>,
+    pos: Vec<u32>,
+    reached: Vec<bool>,
     trail: Vec<Lit>,
     qhead: usize,
     /// Clause ids watching each literal code.
-    watches: Vec<Vec<usize>>,
-    root_conflict: bool,
+    watches: Vec<Vec<u32>>,
+    /// The first step that refuted the live set, and the clause it
+    /// left falsified at the root.
+    conflict: Option<(usize, u32)>,
+    derived_empty: bool,
+    /// Check only used lemmas (certify) rather than all (full check).
+    core_only: bool,
+    /// Conflict-analysis scratch: pending and reached-this-check
+    /// variables.
+    stack: Vec<u32>,
+    reached_now: Vec<u32>,
 }
 
 impl Checker {
-    fn new() -> Checker {
-        Checker {
-            clauses: Vec::new(),
-            index: HashMap::new(),
-            val: Vec::new(),
+    /// The forward pass: replays inputs, lemmas and deletions without
+    /// RUP checks, propagating root units until the first root
+    /// conflict. It stops at a deletion naming a clause that is not
+    /// live and records it in `bad_deletion`.
+    fn replay(log: &ProofLog, core_only: bool) -> Checker {
+        let codes = log
+            .lits
+            .iter()
+            .map(|l| (l.code() | 1) + 1)
+            .max()
+            .unwrap_or(0);
+        let vars = codes / 2;
+        let mut c = Checker {
+            lits: Vec::new(),
+            start: vec![0],
+            live: Vec::new(),
+            used: Vec::new(),
+            clause_of: Vec::with_capacity(log.len()),
+            trail_before: Vec::with_capacity(log.len()),
+            bad_deletion: None,
+            val: vec![0; codes],
+            reason: vec![NO_CLAUSE; vars],
+            pos: vec![0; vars],
+            reached: vec![false; vars],
             trail: Vec::new(),
             qhead: 0,
-            watches: Vec::new(),
-            root_conflict: false,
+            watches: vec![Vec::new(); codes],
+            conflict: None,
+            derived_empty: false,
+            core_only,
+            stack: Vec::new(),
+            reached_now: Vec::new(),
+        };
+        // Deletion lookup: live clauses chained per order-independent
+        // hash of their literal multiset, newest first.
+        let mut head: HashMap<u64, u32> = HashMap::new();
+        let mut next: Vec<u32> = Vec::new();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for i in 0..log.len() {
+            let (kind, lits) = log.step(i);
+            c.trail_before.push(c.trail.len() as u32);
+            let key = multiset_hash(lits);
+            if kind == StepKind::Delete {
+                want.clear();
+                want.extend_from_slice(lits);
+                want.sort_unstable();
+                let mut prev = NO_CLAUSE;
+                let mut cur = head.get(&key).copied().unwrap_or(NO_CLAUSE);
+                while cur != NO_CLAUSE {
+                    got.clear();
+                    got.extend_from_slice(c.clause(cur));
+                    got.sort_unstable();
+                    if got == want {
+                        break;
+                    }
+                    prev = cur;
+                    cur = next[cur as usize];
+                }
+                if cur == NO_CLAUSE {
+                    c.bad_deletion = Some(CheckError {
+                        step: Some(i),
+                        reason: format!(
+                            "deletion of clause {:?} not in the live set",
+                            dimacs(lits)
+                        ),
+                    });
+                    break;
+                }
+                let after = next[cur as usize];
+                if prev != NO_CLAUSE {
+                    next[prev as usize] = after;
+                } else if after != NO_CLAUSE {
+                    head.insert(key, after);
+                } else {
+                    head.remove(&key);
+                }
+                c.live[cur as usize] = false;
+                c.unwatch(cur);
+                c.clause_of.push(cur);
+                continue;
+            }
+            let ci = c.live.len() as u32;
+            c.lits.extend_from_slice(lits);
+            c.start.push(c.lits.len() as u32);
+            c.live.push(true);
+            c.used.push(false);
+            next.push(head.insert(key, ci).unwrap_or(NO_CLAUSE));
+            c.clause_of.push(ci);
+            if kind == StepKind::AddDerived && lits.is_empty() {
+                c.derived_empty = true;
+            }
+            if c.conflict.is_none() {
+                if let Some(falsified) = c.attach(ci) {
+                    c.conflict = Some((i, falsified));
+                }
+            }
         }
+        c
     }
 
-    fn ensure_lit(&mut self, l: Lit) {
-        let need = l.code().max((!l).code()) + 1;
-        if self.val.len() < need {
-            self.val.resize(need, 0);
-            self.watches.resize(need, Vec::new());
+    /// The backward pass. Seeds the marks with the root conflict, or
+    /// with the lemma at `core_step` (the assumption core), then walks
+    /// from the last replayed step to the first, undoing each one and
+    /// checking every derived step before the refutation that is
+    /// marked — all of them outside core mode.
+    fn check_backward(
+        &mut self,
+        log: &ProofLog,
+        core_step: Option<usize>,
+    ) -> Result<CheckReport, CheckError> {
+        // Steps after the refutation are vacuous.
+        let replayed = self.clause_of.len();
+        let end = self.conflict.map_or(replayed, |(step, _)| step + 1);
+        if let Some((_, falsified)) = self.conflict {
+            if self.core_only {
+                self.analyze(Refutation::Conflict(falsified), self.trail.len());
+            }
         }
+        if let Some(step) = core_step {
+            self.used[self.clause_of[step] as usize] = true;
+        }
+        let mut checked = 0usize;
+        let mut unsound = None;
+        for i in (0..replayed).rev() {
+            let (kind, lits) = log.step(i);
+            let ci = self.clause_of[i] as usize;
+            if kind == StepKind::Delete {
+                self.live[ci] = true;
+                self.watch(ci as u32);
+                continue;
+            }
+            self.live[ci] = false;
+            self.truncate(self.trail_before[i] as usize);
+            if kind != StepKind::AddDerived || i >= end || (self.core_only && !self.used[ci]) {
+                continue;
+            }
+            checked += 1;
+            if !self.is_rup(lits) && !self.is_rat(lits) {
+                unsound = Some((i, lits));
+                // A full check keeps going to report the earliest
+                // unsound step; a core check's marks stop here.
+                if self.core_only {
+                    break;
+                }
+            }
+        }
+        if let Some((i, lits)) = unsound {
+            return Err(CheckError {
+                step: Some(i),
+                reason: format!("derived clause {:?} is neither RUP nor RAT", dimacs(lits)),
+            });
+        }
+        Ok(CheckReport {
+            steps: log.len(),
+            derived_checked: checked,
+            derived_empty: self.derived_empty,
+            root_conflict: self.conflict.is_some(),
+        })
+    }
+
+    fn clause(&self, ci: u32) -> &[Lit] {
+        &self.lits[self.start[ci as usize] as usize..self.start[ci as usize + 1] as usize]
     }
 
     fn value(&self, l: Lit) -> i8 {
         self.val[l.code()]
     }
 
-    /// Assigns `l` true. Returns `false` on conflict (already false).
-    fn enqueue(&mut self, l: Lit) -> bool {
+    /// Assigns `l` true, implied by `reason`. Returns `false` on
+    /// conflict (already false).
+    fn enqueue(&mut self, l: Lit, reason: u32) -> bool {
         match self.value(l) {
             1 => true,
             -1 => false,
             _ => {
                 self.val[l.code()] = 1;
                 self.val[(!l).code()] = -1;
+                let v = l.var().index();
+                self.reason[v] = reason;
+                self.pos[v] = self.trail.len() as u32;
                 self.trail.push(l);
                 true
             }
         }
     }
 
-    /// Unit-propagates from `qhead`. Returns `false` on conflict.
-    fn propagate(&mut self) -> bool {
+    /// Unassigns the trail beyond its first `len` literals.
+    fn truncate(&mut self, len: usize) {
+        for &l in &self.trail[len..] {
+            self.val[l.code()] = 0;
+            self.val[(!l).code()] = 0;
+            self.reached[l.var().index()] = false;
+        }
+        self.trail.truncate(len);
+        self.qhead = len;
+    }
+
+    /// Unit-propagates from `qhead`. Returns the falsified clause on
+    /// conflict.
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
+            let falsified = !self.trail[self.qhead];
             self.qhead += 1;
-            let falsified = !p;
             let mut ws = std::mem::take(&mut self.watches[falsified.code()]);
             let mut keep = 0usize;
-            let mut conflict = false;
             let mut i = 0usize;
+            let mut conflict = None;
             while i < ws.len() {
                 let ci = ws[i];
                 i += 1;
-                if !self.clauses[ci].live {
+                if !self.live[ci as usize] {
                     continue; // lazily dropped watcher
                 }
-                // Normalize: watched slot 0 is the falsified literal.
-                if self.clauses[ci].lits[0] == falsified {
-                    self.clauses[ci].lits.swap(0, 1);
+                let s = self.start[ci as usize] as usize;
+                let e = self.start[ci as usize + 1] as usize;
+                // Normalize: watched slot 1 is the falsified literal.
+                if self.lits[s] == falsified {
+                    self.lits.swap(s, s + 1);
                 }
-                let other = self.clauses[ci].lits[1];
-                debug_assert_eq!(other, falsified);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.lits[s + 1], falsified);
+                let first = self.lits[s];
                 if self.value(first) == 1 {
                     ws[keep] = ci;
                     keep += 1;
                     continue;
                 }
-                // Find a replacement watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value(self.clauses[ci].lits[k]) != -1 {
-                        self.clauses[ci].lits.swap(1, k);
-                        let new_watch = self.clauses[ci].lits[1];
-                        self.watches[new_watch.code()].push(ci);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                // Find a replacement watch; it is never `falsified`,
+                // so the taken list needs no re-merge.
+                if let Some(k) = (s + 2..e).find(|&k| self.value(self.lits[k]) != -1) {
+                    self.lits.swap(s + 1, k);
+                    self.watches[self.lits[s + 1].code()].push(ci);
                     continue;
                 }
                 // Unit or conflicting.
                 ws[keep] = ci;
                 keep += 1;
-                if !self.enqueue(first) {
-                    conflict = true;
+                if !self.enqueue(first, ci) {
+                    conflict = Some(ci);
                     break;
                 }
             }
-            // Keep any watchers not yet scanned (conflict exit).
-            while i < ws.len() {
-                ws[keep] = ws[i];
-                keep += 1;
-                i += 1;
-            }
-            ws.truncate(keep);
-            // Re-merge with watchers added for this code mid-scan
-            // (replacement watches never target the falsified literal,
-            // but enqueue-driven recursion is absent so this is just
-            // whatever the take left behind).
-            let added = std::mem::replace(&mut self.watches[falsified.code()], ws);
-            self.watches[falsified.code()].extend(added);
-            if conflict {
+            // Keep the watchers not yet scanned (conflict exit).
+            ws.drain(keep..i);
+            self.watches[falsified.code()] = ws;
+            if conflict.is_some() {
                 self.qhead = self.trail.len();
-                return false;
+                return conflict;
             }
         }
-        true
+        None
+    }
+
+    /// Adds the watchers of clause `ci` (of length ≥ 2) on its first
+    /// two literals.
+    fn watch(&mut self, ci: u32) {
+        let s = self.start[ci as usize] as usize;
+        if self.start[ci as usize + 1] as usize - s >= 2 {
+            self.watches[self.lits[s].code()].push(ci);
+            self.watches[self.lits[s + 1].code()].push(ci);
+        }
+    }
+
+    /// Removes the watchers of clause `ci`, if it has any.
+    fn unwatch(&mut self, ci: u32) {
+        let s = self.start[ci as usize] as usize;
+        if self.start[ci as usize + 1] as usize - s >= 2 {
+            for k in s..s + 2 {
+                let ws = &mut self.watches[self.lits[k].code()];
+                if let Some(at) = ws.iter().position(|&w| w == ci) {
+                    ws.swap_remove(at);
+                }
+            }
+        }
+    }
+
+    /// Attaches the clause just added by the forward pass and
+    /// propagates any root unit it implies. Returns the clause left
+    /// falsified at the root, if any.
+    fn attach(&mut self, ci: u32) -> Option<u32> {
+        let s = self.start[ci as usize] as usize;
+        let e = self.start[ci as usize + 1] as usize;
+        // Prefer non-false literals in the watched slots.
+        let mut w = 0usize;
+        for k in s..e {
+            if w >= 2 {
+                break;
+            }
+            if self.value(self.lits[k]) != -1 {
+                self.lits.swap(s + w, k);
+                w += 1;
+            }
+        }
+        self.watch(ci);
+        if w == 0 {
+            // Empty, or every literal false: the live set is refuted.
+            return Some(ci);
+        }
+        let unit = self.lits[s];
+        if (w == 1 || e - s == 1) && self.value(unit) != 1 {
+            self.enqueue(unit, ci);
+            return self.propagate();
+        }
+        None
     }
 
     /// Checks RUP of `clause`: assume every literal false, propagate,
-    /// demand a conflict. Leaves the trail as it found it.
+    /// demand a conflict. In core mode a success marks the clauses the
+    /// conflict used. Leaves the trail as it found it.
     fn is_rup(&mut self, clause: &[Lit]) -> bool {
-        // The clause may mention variables no input ever did (e.g. an
-        // assumption-core clause over an otherwise-unused variable).
+        let root = self.trail.len();
+        debug_assert_eq!(self.qhead, root, "root trail must be fully propagated");
+        let mut found = None;
         for &l in clause {
-            self.ensure_lit(l);
-        }
-        let mark = self.trail.len();
-        let saved_qhead = self.qhead;
-        let mut conflict = false;
-        for &l in clause {
-            if !self.enqueue(!l) {
-                conflict = true;
+            if !self.enqueue(!l, NO_CLAUSE) {
+                found = Some(Refutation::Satisfied(l));
                 break;
             }
         }
-        if !conflict {
-            conflict = !self.propagate();
+        if found.is_none() {
+            found = self.propagate().map(Refutation::Conflict);
         }
-        for &l in self.trail.iter().skip(mark) {
-            self.val[l.code()] = 0;
-            self.val[(!l).code()] = 0;
+        let rup = found.is_some();
+        if let (Some(refutation), true) = (found, self.core_only) {
+            self.analyze(refutation, root);
         }
-        self.trail.truncate(mark);
-        self.qhead = saved_qhead;
-        conflict
+        self.truncate(root);
+        rup
     }
 
     /// Checks first-literal RAT of `clause`: every resolvent with a
-    /// live clause containing the negated pivot must be RUP.
+    /// live clause containing the negated pivot must be RUP. Each
+    /// partner is marked used.
     fn is_rat(&mut self, clause: &[Lit]) -> bool {
         let Some(&pivot) = clause.first() else {
             return false;
         };
         let neg = !pivot;
-        // Occurrences are computed by scan: RAT steps are rare
-        // (only BVE restorations in solver-emitted proofs). Partners
-        // that also contain the pivot are skipped: flipping the pivot
-        // true keeps them satisfied, so they never constrain the step.
-        let partners: Vec<usize> = (0..self.clauses.len())
+        // Occurrences are computed by scan: RAT steps are rare (only
+        // BVE restorations in solver-emitted proofs). Partners that
+        // also contain the pivot are skipped: flipping the pivot true
+        // keeps them satisfied, so they never constrain the step.
+        let partners: Vec<u32> = (0..self.live.len() as u32)
             .filter(|&ci| {
-                let c = &self.clauses[ci];
-                c.live && c.lits.contains(&neg) && !c.lits.contains(&pivot)
+                let c = self.clause(ci);
+                self.live[ci as usize] && c.contains(&neg) && !c.contains(&pivot)
             })
             .collect();
         let mut resolvent: Vec<Lit> = Vec::new();
         for ci in partners {
             resolvent.clear();
             resolvent.extend_from_slice(clause);
-            resolvent.extend(self.clauses[ci].lits.iter().copied().filter(|&l| l != neg));
+            resolvent.extend(self.clause(ci).iter().copied().filter(|&l| l != neg));
             if !self.is_rup(&resolvent) {
                 return false;
             }
+            self.used[ci as usize] = true;
         }
         true
     }
 
-    /// Installs a clause into the live set and performs persistent
-    /// root propagation of any unit it implies.
-    fn add_clause(&mut self, lits: &[Lit]) {
-        for &l in lits {
-            self.ensure_lit(l);
-        }
-        let mut key = lits.to_vec();
-        key.sort_unstable();
-        let ci = self.clauses.len();
-        let mut stored = lits.to_vec();
-        // Prefer non-false literals in the watched slots.
-        let mut w = 0usize;
-        for i in 0..stored.len() {
-            if w >= 2 {
-                break;
+    /// Conflict analysis for marking: walks the implication graph back
+    /// from `refutation` and marks every clause it reaches — the
+    /// falsified clause and each reached variable's reason, root-unit
+    /// reasons included. Variables at trail positions from `root` on
+    /// belong to the current RUP check and are un-reached afterwards.
+    fn analyze(&mut self, refutation: Refutation, root: usize) {
+        match refutation {
+            Refutation::Conflict(ci) => {
+                self.used[ci as usize] = true;
+                let s = self.start[ci as usize] as usize;
+                let e = self.start[ci as usize + 1] as usize;
+                self.stack.extend(self.lits[s..e].iter().map(|l| l.var().0));
             }
-            if self.value(stored[i]) != -1 {
-                stored.swap(w, i);
-                w += 1;
+            Refutation::Satisfied(l) => self.stack.push(l.var().0),
+        }
+        while let Some(v) = self.stack.pop() {
+            let v = v as usize;
+            if self.reached[v] {
+                continue;
             }
-        }
-        self.clauses.push(CClause {
-            lits: stored,
-            live: true,
-        });
-        self.index.entry(key).or_default().push(ci);
-        let len = self.clauses[ci].lits.len();
-        if len == 0 {
-            self.root_conflict = true;
-            return;
-        }
-        if len >= 2 {
-            let (w0, w1) = (self.clauses[ci].lits[0], self.clauses[ci].lits[1]);
-            self.watches[w0.code()].push(ci);
-            self.watches[w1.code()].push(ci);
-        }
-        if w == 0 {
-            // Every literal false: the live set is refuted outright.
-            self.root_conflict = true;
-        } else if w == 1 || len == 1 {
-            // Unit (or already-satisfied single-watch) clause: make the
-            // surviving literal a persistent root assignment.
-            let unit = self.clauses[ci].lits[0];
-            if self.value(unit) != 1 && (!self.enqueue(unit) || !self.propagate()) {
-                self.root_conflict = true;
+            self.reached[v] = true;
+            if self.pos[v] as usize >= root {
+                self.reached_now.push(v as u32);
             }
-        }
-    }
-
-    /// Removes one live clause matching `lits` (as a multiset).
-    /// Root assignments are never retracted (drat-trim semantics).
-    fn delete_clause(&mut self, lits: &[Lit]) -> bool {
-        let mut key = lits.to_vec();
-        key.sort_unstable();
-        let Some(ids) = self.index.get_mut(&key) else {
-            return false;
-        };
-        let Some(ci) = ids.pop() else {
-            return false;
-        };
-        if ids.is_empty() {
-            self.index.remove(&key);
-        }
-        self.clauses[ci].live = false; // watchers dropped lazily
-        true
-    }
-
-    fn run(&mut self, log: &ProofLog) -> Result<CheckReport, CheckError> {
-        let mut report = CheckReport::default();
-        for (i, (kind, lits)) in log.iter().enumerate() {
-            report.steps += 1;
-            match kind {
-                StepKind::AddInput => self.add_clause(lits),
-                StepKind::AddDerived => {
-                    if !self.root_conflict {
-                        report.derived_checked += 1;
-                        if !self.is_rup(lits) && !self.is_rat(lits) {
-                            return Err(CheckError {
-                                step: Some(i),
-                                reason: format!(
-                                    "derived clause {:?} is neither RUP nor RAT",
-                                    lits.iter().map(|l| l.to_dimacs()).collect::<Vec<_>>()
-                                ),
-                            });
-                        }
-                    }
-                    if lits.is_empty() {
-                        report.derived_empty = true;
-                    }
-                    self.add_clause(lits);
-                }
-                StepKind::Delete => {
-                    if !self.delete_clause(lits) {
-                        return Err(CheckError {
-                            step: Some(i),
-                            reason: format!(
-                                "deletion of clause {:?} not in the live set",
-                                lits.iter().map(|l| l.to_dimacs()).collect::<Vec<_>>()
-                            ),
-                        });
-                    }
+            let r = self.reason[v];
+            if r == NO_CLAUSE {
+                continue;
+            }
+            self.used[r as usize] = true;
+            let s = self.start[r as usize] as usize;
+            let e = self.start[r as usize + 1] as usize;
+            for k in s..e {
+                let u = self.lits[k].var().0;
+                if !self.reached[u as usize] {
+                    self.stack.push(u);
                 }
             }
         }
-        report.root_conflict = self.root_conflict;
-        Ok(report)
+        for v in self.reached_now.drain(..) {
+            self.reached[v as usize] = false;
+        }
     }
+}
+
+/// An order-independent hash of a literal multiset.
+fn multiset_hash(lits: &[Lit]) -> u64 {
+    lits.iter().fold(lits.len() as u64, |h, l| {
+        // splitmix64 finalizer per literal, summed.
+        let mut x = (l.code() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h.wrapping_add(x ^ (x >> 31))
+    })
+}
+
+fn dimacs(lits: &[Lit]) -> Vec<i64> {
+    lits.iter().map(|l| l.to_dimacs()).collect()
 }
 
 #[cfg(test)]
@@ -814,6 +1025,22 @@ mod tests {
         assert_eq!(err.step, Some(1));
     }
 
+    /// The full check reports the earliest unsound step, even when a
+    /// bad deletion follows it; certification rejects either way.
+    #[test]
+    fn check_reports_the_earliest_of_a_bad_lemma_and_a_bad_deletion() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 2]));
+        log.add_input(&clause(&[-1, -2]));
+        log.add_derived(&clause(&[1])); // neither RUP nor RAT
+        log.delete(&clause(&[1, 3])); // not live
+        assert_eq!(check(&log).expect_err("must reject").step, Some(2));
+        assert_eq!(
+            certify_unsat(&log, &[]).expect_err("must reject").step,
+            Some(3)
+        );
+    }
+
     /// Deletion is multiset-keyed, so literal order does not matter.
     #[test]
     fn deletion_is_order_insensitive() {
@@ -861,6 +1088,147 @@ mod tests {
         assert!(certify_unsat(&log, &wrong).is_err());
         // Root-level certification needs the empty clause.
         assert!(certify_unsat(&log, &[]).is_err());
+    }
+
+    /// The unsound unit (-3) is what makes root propagation refute
+    /// (1 2)(-1 2)(-2 3), so the refutation uses it and certification
+    /// must reject it at its step.
+    #[test]
+    fn certify_rejects_an_unsound_lemma_the_refutation_uses() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 2]));
+        log.add_input(&clause(&[-1, 2]));
+        log.add_input(&clause(&[-2, 3]));
+        // Unsound: the formula is satisfied by 2 = 3 = true.
+        log.add_derived(&clause(&[-3]));
+        log.add_derived(&[]);
+        let err = certify_unsat(&log, &[]).expect_err("used unsound lemma");
+        assert_eq!(err.step, Some(3));
+        assert_eq!(check(&log).expect_err("unsound lemma").step, Some(3));
+    }
+
+    /// drat-trim semantics: a lemma the refutation never uses is not
+    /// checked by certification, so an unsound one there is accepted;
+    /// the full check still rejects it.
+    #[test]
+    fn certify_skips_an_unsound_lemma_the_refutation_does_not_use() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 2]));
+        log.add_input(&clause(&[1, -2]));
+        log.add_input(&clause(&[-1, 2]));
+        log.add_input(&clause(&[-1, -2]));
+        log.add_input(&clause(&[-3, 5]));
+        // Unsound (the RAT partner (-3 5) gives the non-RUP (3 5)),
+        // and disjoint from the refutation below.
+        log.add_derived(&clause(&[3]));
+        log.add_derived(&clause(&[1]));
+        log.add_derived(&[]);
+        let report = certify_unsat(&log, &[]).expect("unused lemma is not checked");
+        assert!(report.refuted());
+        assert_eq!(report.derived_checked, 1, "only (1) is in the core");
+        assert_eq!(check(&log).expect_err("full check").step, Some(5));
+    }
+
+    /// A root unit stays assigned after its reason is deleted (root
+    /// assignments are never retracted), and a refutation reaching
+    /// that unit still uses — and so checks — the deleted reason.
+    fn deleted_reason_log(sound: bool) -> ProofLog {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 5]));
+        log.add_input(&clause(&[-1, 3]));
+        if sound {
+            log.add_input(&clause(&[-3, 2]));
+        }
+        // RUP via (-1 3)(-3 2); without (-3 2) the partner (1 5)
+        // gives the non-RUP resolvent (-1 2 5).
+        log.add_derived(&clause(&[-1, 2]));
+        if sound {
+            log.delete(&clause(&[-3, 2]));
+        }
+        log.add_input(&clause(&[1])); // root 1, 3, and 2 by the lemma
+        log.delete(&clause(&[-1, 2]));
+        log.add_input(&clause(&[-2, -3])); // falsified at the root
+        log
+    }
+
+    #[test]
+    fn root_unit_with_a_later_deleted_reason_is_checked() {
+        let report = certify_unsat(&deleted_reason_log(true), &[]).expect("sound");
+        assert!(report.root_conflict);
+        assert_eq!(report.derived_checked, 1);
+        let err = certify_unsat(&deleted_reason_log(false), &[]).expect_err("unsound reason");
+        assert_eq!(err.step, Some(2));
+    }
+
+    /// A unit lemma deleted before the conflict that needs it is
+    /// still a root assignment, still in the core, still checked.
+    #[test]
+    fn deleted_unit_lemma_stays_in_the_core() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 2]));
+        log.add_input(&clause(&[1, -2]));
+        log.add_derived(&clause(&[1]));
+        log.delete(&clause(&[1]));
+        log.add_input(&clause(&[-1, 3]));
+        log.add_input(&clause(&[-1, -3]));
+        let report = certify_unsat(&log, &[]).expect("valid");
+        assert_eq!(report.derived_checked, 1);
+        assert_eq!(check(&log).expect("valid").derived_checked, 1);
+    }
+
+    /// A BVE restoration (vacuous RAT on its first literal) that the
+    /// refutation uses is checked, and passes; the unused resolvent is
+    /// skipped.
+    #[test]
+    fn bve_restoration_in_the_core_passes_rat() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 2]));
+        log.add_input(&clause(&[-1, 3]));
+        log.add_derived(&clause(&[2, 3]));
+        log.delete(&clause(&[1, 2]));
+        log.delete(&clause(&[-1, 3]));
+        log.add_derived(&clause(&[1, 2]));
+        log.add_input(&clause(&[-2])); // root -2, 3, and 1 by the restoration
+        log.add_input(&clause(&[-1]));
+        let report = certify_unsat(&log, &[]).expect("valid");
+        assert_eq!(report.derived_checked, 1);
+        assert_eq!(check(&log).expect("valid").derived_checked, 2);
+    }
+
+    /// A RAT check marks its partners: (1 2) is RAT only through the
+    /// unsound lemma (-1 3), which the implication graph of the
+    /// refutation never reaches.
+    #[test]
+    fn rat_partners_join_the_core() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[2, 3]));
+        log.add_input(&clause(&[1, 5]));
+        // Unsound: the partner (1 5) gives the non-RUP (-1 3 5).
+        log.add_derived(&clause(&[-1, 3]));
+        // RAT on 1 with the single partner (-1 3): (1 2 3) is RUP.
+        log.add_derived(&clause(&[1, 2]));
+        log.add_input(&clause(&[-2])); // root -2, 3, and 1 by (1 2)
+        log.add_input(&clause(&[-1, -3]));
+        let err = certify_unsat(&log, &[]).expect_err("partner is unsound");
+        assert_eq!(err.step, Some(2));
+    }
+
+    /// A root conflict mid-probe refutes the accumulated formula, so it
+    /// certifies any assumption core, whatever the last derived clause.
+    #[test]
+    fn root_conflict_mid_probe_certifies_any_core() {
+        let mut log = ProofLog::new();
+        log.add_input(&clause(&[1, 2]));
+        log.add_input(&clause(&[1, -2]));
+        log.add_input(&clause(&[-1, 2]));
+        log.add_input(&clause(&[-1, -2]));
+        log.add_derived(&clause(&[1])); // refutes the live set
+        log.add_derived(&clause(&[-3]));
+        for core in [&[][..], &[lit(3)], &[lit(7), lit(-8)]] {
+            let report = certify_unsat(&log, core).expect("root conflict covers any core");
+            assert!(report.root_conflict);
+            assert_eq!(report.derived_checked, 1);
+        }
     }
 
     #[test]

@@ -879,6 +879,16 @@ impl CdclSolver {
         self.session.as_ref().and_then(|s| s.proof.as_deref())
     }
 
+    /// Moves the session's proof log out (`None` unless
+    /// [`CdclSolver::enable_proof`] was called), ending logging: later
+    /// solves on this session are not recorded.
+    pub fn take_proof(&mut self) -> Option<ProofLog> {
+        self.session
+            .as_mut()
+            .and_then(|s| s.proof.take())
+            .map(|log| *log)
+    }
+
     /// Connects the incremental session to a clause-exchange hub as
     /// worker `worker` (its inbox index; it never publishes to itself).
     ///
@@ -4406,7 +4416,7 @@ mod tests {
         assert!(s.solve_assuming(&[], &Budget::default()).is_unsat());
     }
 
-    /// The truncated-proof fault freezes the log mid-run; the forward
+    /// The truncated-proof fault freezes the log mid-run; the
     /// checker must refuse the incomplete refutation rather than
     /// certify it.
     #[test]
@@ -4426,8 +4436,11 @@ mod tests {
     /// Corrupt-clause containment: worker 0 publishes one exported
     /// clause with a flipped literal; the importers' RUP re-check is
     /// the only line of defense. The fleet must still reach the right
-    /// verdict and its UNSAT proof must still certify — which it could
-    /// not if the corrupt clause had been admitted and logged.
+    /// verdict, its UNSAT proof must still certify, and the winner's
+    /// whole log must pass the full check — which it could not if the
+    /// corrupt clause had been admitted and logged. Certification
+    /// alone checks only the refutation's core, so it would miss a
+    /// corrupt clause that was logged but never used.
     #[test]
     fn corrupted_exchange_clause_is_contained_by_the_import_filter() {
         let c = pigeonhole(6);
@@ -4457,6 +4470,7 @@ mod tests {
                     let log = worker.proof().expect("proof enabled");
                     crate::proof::certify_unsat(log, worker.final_assumption_conflict())
                         .expect("refutation must certify despite the corrupt clause");
+                    crate::proof::check(log).expect("no corrupt clause was logged");
                     break 'driver;
                 }
             }

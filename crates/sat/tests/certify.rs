@@ -1,7 +1,12 @@
-//! End-to-end UNSAT certification: the solver's proof log for the
-//! pigeonhole family must pass the in-tree forward DRAT checker, the
-//! binary/text DRAT writers must round-trip through the parser against
-//! the original DIMACS inputs, and corrupted proofs must be rejected.
+//! End-to-end UNSAT certification with the in-tree backward DRAT
+//! checker. `certify_unsat` checks only the lemmas the refutation
+//! uses (its `derived_checked` counts that core); `proof::check`
+//! checks every derivation up to the refutation (its count is the
+//! whole prefix). The solver's proofs for the pigeonhole family and an
+//! incremental SAT-then-UNSAT session must pass both, with the core
+//! never larger than the prefix; the binary/text DRAT writers must
+//! round-trip through the parser against the original DIMACS inputs;
+//! and corrupted proofs must be rejected.
 
 use sat::proof::{self, StepKind};
 use sat::{certify_unsat, Budget, CdclConfig, CdclSolver, Cnf, Lit, ProofLog, RestartPolicy};
@@ -56,7 +61,7 @@ fn refute(c: &Cnf, config: CdclConfig) -> ProofLog {
     s.add_cnf(c);
     assert!(s.solve_assuming(&[], &Budget::default()).is_unsat());
     assert!(s.final_assumption_conflict().is_empty());
-    s.proof().expect("proof logging enabled").clone()
+    s.take_proof().expect("proof logging enabled")
 }
 
 #[test]
@@ -68,7 +73,89 @@ fn pigeonhole_family_certifies() {
                 .unwrap_or_else(|e| panic!("php({n}) proof rejected: {e:?}"));
             assert!(report.refuted(), "php({n}) proof has no refutation");
             assert!(report.derived_checked > 0, "php({n}) proof checked nothing");
+            let full = proof::check(&log)
+                .unwrap_or_else(|e| panic!("php({n}) full check rejected: {e:?}"));
+            assert!(full.refuted());
+            assert!(
+                report.derived_checked <= full.derived_checked,
+                "php({n}) core {} exceeds the checked prefix {}",
+                report.derived_checked,
+                full.derived_checked
+            );
         }
+    }
+}
+
+/// The shape of a min-depth search: one incremental session answers a
+/// SAT probe that learns many clauses, then an UNSAT assumption probe.
+/// The session's log holds both probes' lemmas; certifying the UNSAT
+/// probe checks only its own core, which the first probe's lemmas
+/// (over disjoint variables) cannot enter, while the full check still
+/// checks them all.
+#[test]
+fn sat_probe_then_unsat_probe_certifies_only_the_core() {
+    for config in [CdclConfig::default(), aggressive()] {
+        let php = pigeonhole(5);
+        let php_vars = php.num_vars() as i64;
+        let (easy, hard) = (lit(php_vars + 1), lit(php_vars + 2));
+        let mut s = CdclSolver::with_config(config);
+        s.enable_proof();
+        // php(5) behind selector `hard`.
+        for clause in php.iter() {
+            s.add_clause(clause.iter().copied().chain([!hard]));
+        }
+        // Planted random 3-SAT behind selector `easy`: satisfiable, and
+        // hard enough to learn clauses before a model turns up.
+        let base = php_vars + 2;
+        let vars = 300u64;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let planted = |v: i64| v % 3 != 0;
+        let mut kept = 0;
+        while kept < 42 * vars as usize / 10 {
+            let clause: Vec<i64> = (0..3)
+                .map(|_| {
+                    let v = 1 + (next() % vars) as i64;
+                    if next() % 2 == 0 {
+                        v
+                    } else {
+                        -v
+                    }
+                })
+                .collect();
+            if !clause.iter().any(|&d| (d > 0) == planted(d.abs())) {
+                continue;
+            }
+            kept += 1;
+            s.add_clause(
+                clause
+                    .iter()
+                    .map(|&d| lit(d.signum() * (d.abs() + base)))
+                    .chain([!easy]),
+            );
+        }
+        assert!(s.solve_assuming(&[easy], &Budget::default()).is_sat());
+        let learnt_by_sat_probe = s.session_stats().learned;
+        assert!(learnt_by_sat_probe > 0, "the SAT probe learnt nothing");
+        assert!(s.solve_assuming(&[hard], &Budget::default()).is_unsat());
+        let core = s.final_assumption_conflict().to_vec();
+        assert_eq!(core, vec![hard]);
+        let log = s.take_proof().expect("proof logging enabled");
+        let report = certify_unsat(&log, &core).expect("assumption core certifies");
+        let full = proof::check(&log).expect("every lemma checks");
+        assert!(!report.refuted() && !full.refuted(), "no root refutation");
+        assert!(report.derived_checked > 0, "the core checked nothing");
+        assert!(
+            report.derived_checked < full.derived_checked,
+            "core {} is not smaller than the whole log {}",
+            report.derived_checked,
+            full.derived_checked
+        );
     }
 }
 
